@@ -199,9 +199,11 @@ class RedisServer:
         elif self.mode == "zio":
             yield from self.zio.copy(va, src, value_len)
         else:
-            if self.mode == "copier":
+            if self.mode == "copier" and recv_was_async:
                 # Guideline (§5.1.1): sync the lazy recv's bytes before a
-                # direct read of the input buffer.
+                # direct read of the input buffer.  A synchronous recv
+                # already put them in place, and a csync would only find
+                # the aborted tail of an earlier lazy recv there.
                 yield from proc.client.csync(src, value_len)
             yield from system.sync_copy(proc, proc.aspace, src,
                                         proc.aspace, va, value_len,

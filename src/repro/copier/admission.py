@@ -294,8 +294,6 @@ class AdmissionController:
             # Let the normal ingest path drop it and signal the process.
             return False
         for earlier in client.task_index:
-            if earlier.is_finished:
-                continue
             if (earlier.dst.overlaps(task.src)
                     or earlier.dst.overlaps(task.dst)
                     or earlier.src.overlaps(task.dst)):

@@ -10,7 +10,8 @@ with ``yield from`` inside a simulator process.
 
 from repro.copier import task as task_mod
 from repro.copier.admission import REJECT, SHED
-from repro.copier.deps import BarrierBookkeeping, PendingTasks, u_order_key
+from repro.copier.deps import (BarrierBookkeeping, LastWriterMap, PendingTasks,
+                               u_order_key)
 from repro.copier.descriptor import DescriptorPool
 from repro.copier.errors import AdmissionReject, CopyAborted, DeadlineMissed
 from repro.copier.queues import ClientQueues, QueueFull
@@ -55,15 +56,23 @@ class ClientStats:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class CopierClient:
-    """A registered client: its queues, pending tasks, and submission API."""
+def _newest_first(piece):
+    return -piece[2]
 
-    #: Hard bound on ``task_index`` growth.  Crossing it forces a prune of
-    #: finished tasks at submission time, so a client that never csyncs
-    #: cannot leak index entries (unfinished tasks are always retained —
-    #: they are needed for csync correctness and are already bounded by
-    #: the ring capacity + pending list).
-    INDEX_CAP = 2048
+
+class CopierClient:
+    """A registered client: its queues, pending tasks, and submission API.
+
+    Per-submission bookkeeping is kept current at submission and at
+    retirement (:meth:`CompletionHandler._finalize
+    <repro.copier.completion.CompletionHandler._finalize>`), never by
+    rescans: ``task_index`` holds exactly the unfinished tasks, in
+    submission order; ``writers`` maps each destination byte to its
+    newest unretired writer for csync; ``filled`` queues tasks whose
+    descriptor filled since the last completion sweep; ``reap_watch``
+    holds the unfinished tasks the overload reaper may retire (cancelled,
+    or carrying a deadline).
+    """
 
     def __init__(self, service, aspace, name="", queue_capacity=1024,
                  process=None, segment_bytes=None):
@@ -78,7 +87,11 @@ class CopierClient:
         self.barriers = BarrierBookkeeping(self.u_queues.copy)
         self.pending = PendingTasks()
         self.desc_pool = DescriptorPool(self.segment_bytes)
-        self.task_index = []  # submitted tasks for csync address lookup
+        self.task_index = {}  # unfinished task -> None, submission order
+        self.writers = LastWriterMap()
+        self.filled = []
+        self.reap_watch = set()
+        self._submit_seq = 0
         self.stats = ClientStats()
         self.outstanding_bytes = 0  # admitted async bytes not yet retired
         self.sigsegv_handler = None  # default: kill the attached process
@@ -148,6 +161,7 @@ class CopierClient:
             self, queue_kind, src, dst, descriptor, handler=handler,
             task_type=task_mod.TYPE_LAZY if lazy else task_mod.TYPE_NORMAL,
         )
+        descriptor.owner = task
         task.submitted_at = self.env.now
         task.deadline = deadline
         task.on_retire = on_retire
@@ -191,9 +205,11 @@ class CopierClient:
             task.order_key = self.barriers.next_k_key()
             position = yield from self._acquire_slot(queue)
             queue.publish(position, task)
-        if len(self.task_index) >= self.INDEX_CAP:
-            self._prune_index(force=True)
-        self.task_index.append(task)
+        self._submit_seq += 1
+        self.writers.claim(dst, self._submit_seq, task)
+        self.task_index[task] = None
+        if deadline is not None:
+            self.reap_watch.add(task)
         self.stats.submitted += 1
         self.outstanding_bytes += src.length
         trace = self.service.trace
@@ -208,9 +224,10 @@ class CopierClient:
 
         Same semantics as ``user_memcpy``: the caller's core pays the
         faults and the copy, and the bytes are in place on return.  The
-        task still lands in ``task_index`` fully marked, so later csyncs
-        over the range take the fast path.  Latency is bounded (no
-        queueing), which is the entire point of the overload valve.
+        task still claims its destination in the writer map, superseding
+        older writers, so later csyncs over the range take the fast path.
+        Latency is bounded (no queueing), which is the entire point of
+        the overload valve.
         """
         params = self.service.params
         t0 = self.env.now
@@ -231,13 +248,13 @@ class CopierClient:
                       tag="copier-submit")
         data = task.src.aspace.read(task.src.start, task.src.length)
         task.dst.aspace.write(task.dst.start, data)
+        task.descriptor.owner = None  # retired here, not by a sweep
         for seg in range(task.descriptor.n_segments):
             task.descriptor.mark(seg)
         task.state = task_mod.DONE
         task.completed_at = self.env.now
-        if len(self.task_index) >= self.INDEX_CAP:
-            self._prune_index(force=True)
-        self.task_index.append(task)
+        self._submit_seq += 1
+        self.writers.claim(task.dst, self._submit_seq)
         self.stats.shed_tasks += 1
         self.stats.shed_bytes += task.length
         overload = self.service.admission.stats
@@ -278,12 +295,13 @@ class CopierClient:
     def _mark_cancelled(self, region, queue_kind=None):
         count = 0
         for task in self.task_index:
-            if task.is_finished or task.cancelled:
+            if task.cancelled:
                 continue
             if queue_kind is not None and task.queue_kind != queue_kind:
                 continue
             if task.dst.overlaps(region):
                 task.cancelled = True
+                self.reap_watch.add(task)
                 count += 1
         return count
 
@@ -312,54 +330,33 @@ class CopierClient:
 
     # ----------------------------------------------------------------- csync
 
-    def tasks_overlapping(self, region, queue_kind=None):
-        out = []
-        for task in self.task_index:
-            if queue_kind is not None and task.queue_kind != queue_kind:
-                continue
-            if task.dst.overlaps(region):
-                out.append(task)
-        return out
-
     def _range_ready(self, region):
         """True when ``region``'s bytes, per their *newest* covering tasks,
         have landed.
 
         Buffers are recycled, so older tasks on the same addresses are
-        superseded byte-by-byte by newer submissions: walk the index newest
-        first and only consult older tasks for bytes no newer task covers.
-        Raises :class:`CopyAborted` when the deciding copy for some byte
-        was aborted before those bytes arrived.
+        superseded byte-by-byte by newer submissions: the writer map holds
+        only each byte's newest writer, and bytes without one are ready.
+        The writers are consulted newest first, so when several disagree
+        the newest decides.  Raises :class:`CopyAborted` (or the task's
+        parked typed error) when the deciding copy for some byte was
+        aborted before those bytes arrived.
         """
-        remaining = [(region.start, region.start + region.length)]
-        for task in reversed(self.task_index):
-            if not remaining:
-                return True
-            if task.dst.aspace.asid != region.aspace.asid:
+        pieces = self.writers.overlapping(region)
+        if len(pieces) > 1:
+            pieces.sort(key=_newest_first)  # stable: address order per task
+        for lo, hi, _seq, task in pieces:
+            descriptor = task.descriptor
+            seg = descriptor.segment_bytes
+            base = task.dst.start
+            if descriptor.range_ready_segments((lo - base) // seg,
+                                               (hi - 1 - base) // seg):
                 continue
-            next_remaining = []
-            for start, end in remaining:
-                lo = max(start, task.dst.start)
-                hi = min(end, task.dst.end)
-                if lo >= hi:
-                    next_remaining.append((start, end))
-                    continue
-                covered = Region(region.aspace, lo, hi - lo)
-                segs_ready = all(task.descriptor.is_ready(s)
-                                 for s in task.segments_covering(covered))
-                if task.state == task_mod.ABORTED:
-                    if not segs_ready:
-                        if task.error is not None:
-                            raise task.error
-                        raise CopyAborted(
-                            "copy covering 0x%x aborted" % lo)
-                elif not segs_ready:
-                    return False
-                if start < lo:
-                    next_remaining.append((start, lo))
-                if hi < end:
-                    next_remaining.append((hi, end))
-            remaining = next_remaining
+            if task.state != task_mod.ABORTED:
+                return False
+            if task.error is not None:
+                raise task.error
+            raise CopyAborted("copy covering 0x%x aborted" % lo)
         return True
 
     def csync(self, va, nbytes, queue_kind="u", deadline=None):
@@ -379,10 +376,8 @@ class CopierClient:
         region = Region(self.aspace, va, nbytes)
         yield Compute(params.csync_check_cycles, tag="csync")
         if self._range_ready(region):
-            self._prune_index()
             return
         yield from self._sync_and_spin(region, queue_kind, deadline)
-        self._prune_index()
 
     def csync_region(self, region, queue_kind="k", deadline=None):
         """csync for an arbitrary Region (kernel-side users)."""
@@ -419,11 +414,10 @@ class CopierClient:
         params = self.service.params
         yield Compute(params.csync_check_cycles, tag="csync")
         spin = params.csync_spin_cycles
-        while any(not t.is_finished for t in self.task_index):
+        while self.task_index:
             yield Compute(spin, tag="csync")
             spin = min(spin * 2, _MAX_SPIN_CYCLES)
         yield from self.post_handlers()
-        self._prune_index(force=True)
 
     def abort(self, va, nbytes, queue_kind="u"):
         """Discard still-queued copies targeting the range (§4.4)."""
@@ -443,10 +437,6 @@ class CopierClient:
             yield Compute(params.handler_dispatch_cycles, tag="handler")
             fn, args = entry
             fn(*args)
-
-    def _prune_index(self, force=False):
-        if force or len(self.task_index) > 64:
-            self.task_index = [t for t in self.task_index if not t.is_finished]
 
     # ------------------------------------------------------------- snapshot
 

@@ -16,6 +16,13 @@ trace outcome, and the handler still dispatched (kernel FUNCs often free
 resources; skipping them would leak).  :meth:`reap_overload` is the
 per-iteration sweep the worker loop runs over each client's pending
 list.
+
+Both sweeps visit candidates only: :meth:`sweep` the tasks whose
+descriptor filled since the last sweep (the client's ``filled`` list),
+:meth:`reap_overload` nothing at all while no unfinished task is
+cancelled or carries a deadline.  :meth:`_finalize`, which every
+retirement path ends in, keeps the client's per-submission bookkeeping
+current (``task_index``, the writer map, ``reap_watch``).
 """
 
 import zlib
@@ -28,6 +35,10 @@ from repro.sim import Compute
 from repro.sim.trace import IntegrityMismatch, TaskFinished
 
 
+def _pending_order(task):
+    return task.order_key
+
+
 class CompletionHandler:
     """Retires tasks for one :class:`~repro.copier.service.CopierService`."""
 
@@ -38,8 +49,20 @@ class CompletionHandler:
 
     def sweep(self, client):
         """Finalize tasks completed out-of-band (DMA callbacks, promotion)
-        without charging handler-dispatch time inline."""
-        for task in list(client.pending):
+        without charging handler-dispatch time inline.
+
+        Visits only tasks whose descriptor filled since the last sweep, in
+        pending (merged submission) order; a filled, unfinished task is
+        always pending, so this retires exactly what a full scan of the
+        pending list would."""
+        filled = client.filled
+        if not filled:
+            return
+        client.filled = []
+        due = [t for t in filled if not t.is_finished]
+        if len(due) > 1:
+            due.sort(key=_pending_order)
+        for task in due:
             if not task.is_finished and task.descriptor.all_ready:
                 self.verify_integrity(client, task)
                 task.state = task_mod.DONE
@@ -235,6 +258,8 @@ class CompletionHandler:
     def reap_overload(self, client):
         """Retire every cancelled/expired task in the pending list;
         returns how many were retired (the worker's did-work signal)."""
+        if not client.reap_watch:
+            return 0
         now = self.service.env.now
         reaped = 0
         for task in list(client.pending):
@@ -333,11 +358,20 @@ class CompletionHandler:
     # ----------------------------------------------------------------- trace
 
     def _finalize(self, client, task, outcome):
-        """Post-retirement bookkeeping shared by every path: release the
-        pins, settle the outstanding-byte meter, count global progress
+        """Post-retirement bookkeeping shared by every path: drop the task
+        from the client's unfinished set and reaper watch (a DONE task
+        also leaves the writer map — its bytes are ready; an aborted one
+        stays until a newer submission covers it, so csync raises), release
+        the pins, settle the outstanding-byte meter, count global progress
         (the watchdog's liveness signal), emit ``task-finished`` and fire
         the task's ``on_retire`` hook (exactly once — the async facade
         parks coroutine futures on it)."""
+        client.task_index.pop(task, None)
+        client.reap_watch.discard(task)
+        if task.state == task_mod.DONE:
+            client.writers.release(task)
+        if task.descriptor.owner is task:
+            task.descriptor.owner = None  # no task <-> descriptor cycle
         self.unpin(task)
         client.outstanding_bytes = max(0,
                                        client.outstanding_bytes - task.length)

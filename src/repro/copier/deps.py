@@ -16,7 +16,13 @@ syscall (U3/U4 in Fig. 6-a), k-mode tasks win, matching the paper's
 
 Data dependency is computed on demand by walking earlier tasks in reverse
 merged order and comparing regions (both sources and destinations).
+
+csync answers a different question — which submission wrote each byte
+*last* — from :class:`LastWriterMap`, kept current at submission and at
+retirement, so its cost follows the region, not the client's backlog.
 """
+
+from bisect import bisect_left, bisect_right
 
 
 def u_order_key(position):
@@ -159,3 +165,89 @@ class BarrierBookkeeping:
     def next_k_key(self):
         self._k_sequence += 1
         return k_order_key(self._current_barrier_pos, self._k_sequence)
+
+
+class LastWriterMap:
+    """Newest submitted writer of every destination byte, per address space.
+
+    Each address space keeps sorted, disjoint ``[start, end)`` intervals
+    mapped to the task whose destination covers them most recently in
+    submission order, with a parallel list of starts as the bisect key —
+    the same idiom as the VMA index in :mod:`repro.mem.addrspace`.  A
+    submission :meth:`claims <claim>` its destination and trims whatever
+    older writers it overlaps; a task whose bytes all landed
+    :meth:`releases <release>` its intervals, since a byte with no
+    recorded writer is ready.  An aborted task keeps its intervals until
+    a newer submission covers them, so csync keeps reporting bytes that
+    never arrived.
+    """
+
+    def __init__(self):
+        # asid -> (starts, spans); a span is (start, end, seq, task)
+        self._spaces = {}
+
+    def clear(self):
+        self._spaces.clear()
+
+    def _span_range(self, asid, start, end):
+        """``(starts, spans, lo, hi)``: ``spans[lo:hi]`` overlap [start, end)."""
+        space = self._spaces.get(asid)
+        if space is None:
+            return None, (), 0, 0
+        starts, spans = space
+        lo = bisect_right(starts, start)
+        if lo and spans[lo - 1][1] > start:
+            lo -= 1
+        return starts, spans, lo, bisect_left(starts, end, lo)
+
+    def claim(self, region, seq, task=None):
+        """Record ``task`` (submission number ``seq``) as the newest writer
+        of ``region``; ``task=None`` only trims (bytes already in place)."""
+        start, end = region.start, region.end
+        if start >= end:
+            return
+        starts, spans, lo, hi = self._span_range(region.aspace.asid, start, end)
+        if starts is None:
+            if task is None:
+                return
+            starts, spans = self._spaces[region.aspace.asid] = ([], [])
+        new = []
+        if lo < hi and spans[lo][0] < start:
+            first = spans[lo]
+            new.append((first[0], start, first[2], first[3]))
+        if task is not None:
+            new.append((start, end, seq, task))
+        if lo < hi and spans[hi - 1][1] > end:
+            last = spans[hi - 1]
+            new.append((end, last[1], last[2], last[3]))
+        starts[lo:hi] = [span[0] for span in new]
+        spans[lo:hi] = new
+
+    def release(self, task):
+        """Drop every interval ``task`` still owns (its bytes landed)."""
+        dst = task.dst
+        starts, spans, lo, hi = self._span_range(dst.aspace.asid, dst.start,
+                                                 dst.end)
+        if lo == hi:
+            return
+        keep = [span for span in spans[lo:hi] if span[3] is not task]
+        if len(keep) != hi - lo:
+            starts[lo:hi] = [span[0] for span in keep]
+            spans[lo:hi] = keep
+
+    def overlapping(self, region):
+        """``(lo, hi, seq, task)`` pieces of ``region`` with a recorded
+        writer, clipped to the region, in address order."""
+        start, end = region.start, region.end
+        if start >= end:
+            return []
+        _starts, spans, lo, hi = self._span_range(region.aspace.asid, start,
+                                                  end)
+        return [(max(s, start), min(e, end), seq, task)
+                for s, e, seq, task in spans[lo:hi]]
+
+    def intervals(self):
+        """Every ``(asid, start, end, task)`` interval, sorted (tests)."""
+        return [(asid, s, e, task)
+                for asid, (_starts, spans) in sorted(self._spaces.items())
+                for s, e, _seq, task in spans]

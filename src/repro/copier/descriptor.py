@@ -4,7 +4,9 @@ A descriptor partitions a copy into fixed-size *segments* and tracks which
 segments have landed.  Clients csync against the bitmap, so data can be
 used as soon as the needed prefix arrives — the copy-use pipeline.  The
 service marks bits as it copies; waiters registered by csync fire as soon
-as their range becomes fully ready.
+as their range becomes fully ready, and the owning task is queued on its
+client's ``filled`` list for the next completion sweep once every
+segment has landed.
 """
 
 
@@ -12,7 +14,8 @@ class Descriptor:
     """Progress bitmap for one async copy."""
 
     __slots__ = ("length", "segment_bytes", "_bits", "_ready_count",
-                 "n_segments", "_waiters", "pool", "size_class", "aborted")
+                 "n_segments", "_waiters", "pool", "size_class", "aborted",
+                 "owner")
 
     def __init__(self, length, segment_bytes, pool=None, size_class=None):
         if length <= 0:
@@ -28,6 +31,8 @@ class Descriptor:
         self.pool = pool
         self.size_class = size_class
         self.aborted = False
+        #: The submitted CopyTask this descriptor tracks, if any.
+        self.owner = None
 
     # ------------------------------------------------------------- progress
 
@@ -40,7 +45,7 @@ class Descriptor:
             return
         self._bits |= bit
         self._ready_count += 1
-        self._wake_waiters()
+        self._on_progress()
 
     def mark_range(self, first, last):
         """Mark segments ``[first, last]`` copied in one bitmap update.
@@ -58,9 +63,12 @@ class Descriptor:
             return
         self._bits |= mask
         self._ready_count += bin(new).count("1")
-        self._wake_waiters()
+        self._on_progress()
 
-    def _wake_waiters(self):
+    def _on_progress(self):
+        owner = self.owner
+        if owner is not None and self._ready_count == self.n_segments:
+            owner.client.filled.append(owner)
         if self._waiters:
             still_waiting = []
             for first, last, event in self._waiters:

@@ -197,7 +197,7 @@ class CopierService:
         """Force-complete every unfinished task a client owns; returns
         how many were reaped.  Ring entries behind a wedged (acquired but
         never published) slot stay unpoppable but are still reaped through
-        the task index, which records every submission."""
+        the task index, which holds every unfinished submission."""
         completion = self.completion
         count = 0
         for queue in (client.u_queues.copy, client.k_queues.copy):
@@ -207,14 +207,15 @@ class CopierService:
                     count += 1
         client.u_queues.sync.drain()
         client.k_queues.sync.drain()
-        seen = set()
-        for task in list(client.pending) + client.task_index:
-            if id(task) in seen:
-                continue
-            seen.add(id(task))
+        for task in list(client.pending):
             if not task.is_finished:
                 completion.reap_exit(client, task, outcome)
                 count += 1
+        # Reaping retired those from the index; what is left never
+        # reached the pending list.
+        for task in list(client.task_index):
+            completion.reap_exit(client, task, outcome)
+            count += 1
         return count
 
     def _outstanding(self):
@@ -222,9 +223,7 @@ class CopierService:
         for client in self.clients:
             if len(client.u_queues.copy) or len(client.k_queues.copy):
                 return True
-            if any(not t.is_finished for t in client.task_index):
-                return True
-            if any(not t.is_finished for t in client.pending):
+            if client.task_index:  # every unfinished pending task too
                 return True
         return False
 
@@ -240,8 +239,7 @@ class CopierService:
             tasks = tuple(
                 (t.task_id, t.state, len(t.segments_pending()),
                  t.absorbed_bytes)
-                for t in list(client.task_index) + list(client.pending)
-                if not t.is_finished)
+                for t in client.task_index)
             sig.append((len(client.u_queues.copy), len(client.k_queues.copy),
                         client.stats.bytes_copied, tasks))
         return tuple(sig)
@@ -283,8 +281,7 @@ class CopierService:
         env = self.env
         start = env.now
         self.draining = True
-        requeued = sum(1 for c in self.clients
-                       for t in c.task_index if not t.is_finished)
+        requeued = sum(len(c.task_index) for c in self.clients)
         self.lifecycle.drain_requeued += requeued
         limit = None if deadline is None else start + deadline
         stalled = 0
@@ -424,9 +421,11 @@ class CopierService:
         if self._wake_events:
             raise CheckpointStateError("parked workers left wake events")
         # Canonical parked shape — identical on the resume-in-place path
-        # and the restore-from-blob path: retired tasks compacted away.
+        # and the restore-from-blob path: retired tasks compacted away,
+        # the writer map (aborted ranges included) and sweep queue empty.
         for client in self.clients:
-            client._prune_index(force=True)
+            client.writers.clear()
+            client.filled.clear()
             for task in [t for t in client.pending if t.is_finished]:
                 client.pending.remove(task)
         self.quiesced = True

@@ -133,8 +133,6 @@ class CopierWatchdog:
         for client in self.service.clients:
             client_oldest = None
             for task in client.task_index:
-                if task.is_finished:
-                    continue
                 tasks += 1
                 at = task.submitted_at
                 if at is not None and (client_oldest is None

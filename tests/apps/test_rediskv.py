@@ -33,6 +33,43 @@ def test_small_value_roundtrip_below_breakeven(mode, value_len):
     assert client.proc.read(client.rx + 64, value_len) == bytes([7]) * value_len
 
 
+def test_small_set_after_large_set_and_get():
+    """A sub-break-even SET after a large SET and GET must not csync the
+    aborted tail of the earlier lazy recv: its own recv was synchronous,
+    so its bytes are already in place (it used to raise CopyAborted out
+    of ``serve()``)."""
+    system = _mk("copier")
+    from repro.kernel.net import socket_pair
+
+    server = RedisServer(system, mode="copier")
+    listen_rx, listen_tx = socket_pair(system)
+    reply_a, reply_b = socket_pair(system)
+    client = RedisClient(system, 0, listen_tx, reply_b)
+    big, small = 64 * 1024, 1024
+    big_value = bytes(range(256)) * (big // 256)
+    small_value = bytes([0xA5, 0x5A]) * (small // 2)
+    replies = []
+
+    def run():
+        for op, value, n in (("SET", big_value, big), ("GET", None, big),
+                             ("SET", small_value, small),
+                             ("GET", None, small)):
+            if value is not None:
+                client.proc.write(client.tx + 80, value)
+            yield from client.run([(op, b"k", n)])
+            length = 64 + (n if op == "GET" else 0)
+            replies.append(client.proc.read(client.rx, length))
+
+    server.proc.spawn(server.serve(listen_rx, {0: reply_a}, 4), affinity=0)
+    cp = client.proc.spawn(run(), affinity=1)
+    system.env.run_until(cp.terminated, limit=10_000_000_000)
+    assert [r[:3] for r in replies] == [b"+OK"] * 4
+    assert replies[1][64:] == big_value
+    assert replies[3][64:] == small_value
+    assert server.requests_served == 4
+    assert server.timeouts == 0
+
+
 @pytest.mark.parametrize("mode", ["sync", "copier", "zio", "ub"])
 def test_set_get_roundtrip(mode):
     """A SET followed by a GET returns the stored value in every mode."""

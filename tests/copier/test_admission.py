@@ -220,7 +220,9 @@ class TestReject:
         assert client.stats.rejected_submits == 1
         assert client.stats.submitted == 0
         assert client.outstanding_bytes == 0
-        assert client.task_index == []  # rejected work leaves no trace
+        # Rejected work leaves no trace: not indexed, no writer recorded.
+        assert len(client.task_index) == 0
+        assert client.writers.intervals() == []
         assert setup.service.admission.stats.rejected == 1
         rejects = [e for e in events if e.kind == "admission-reject"]
         assert len(rejects) == 1 and rejects[0].client_name == "app"
